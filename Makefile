@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test examples race chaos workload loadcheck shardcheck optcheck bench benchgate cover clean
+.PHONY: check vet build test examples race chaos workload loadcheck shardcheck artifacts fuzz bench benchgate cover clean
 
-check: vet build test examples race chaos workload loadcheck shardcheck optcheck benchgate cover
+check: vet build test examples race chaos workload loadcheck shardcheck artifacts fuzz benchgate cover
 
 vet:
 	$(GO) vet ./...
@@ -51,17 +51,24 @@ shardcheck:
 	$(GO) test -race -count=1 -run 'TestShardedBitIdentical' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestShardSet' ./internal/sim/
 
-# The optimistic (Time-Warp) gate: speculative coordination must produce
-# results byte-identical to the serial engine at every shard count and
-# speculation depth (1/2/4/8 x depths 1/4 via TestOptimisticBitIdentical,
-# with real rollbacks, anti-messages and cascades exercised), the
-# committed event trace must match the serial order exactly, core's
-# end-to-end cases must stay bit-identical with Optimistic set (including
-# the crash-plan force-serial and process-degrade rules), and the rank
-# rewind savers must round-trip — all under the race detector.
-optcheck:
-	$(GO) test -race -count=1 -run 'TestOptimistic' ./internal/sim/
-	$(GO) test -race -count=1 -run 'TestCoreOptimistic|TestOptimisticDegradeReported|TestOptimisticCrashPlanForcesSerial|TestRankRewindRoundTrip' ./internal/core/
+# The golden-artifact gate: regenerate the paper's entire evaluation
+# (text and structured JSON) and byte-compare it with the checked-in
+# docs/artifacts.txt and docs/artifacts.json. The output is deterministic
+# across worker counts and GOMAXPROCS, so any diff is a behaviour change:
+# either a regression or an intentional change that must re-export both
+# files in the same commit.
+artifacts:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/sunbench -cache off -json "$$tmp/artifacts.json" all > "$$tmp/artifacts.txt" && \
+	diff -u docs/artifacts.txt "$$tmp/artifacts.txt" && \
+	diff -u docs/artifacts.json "$$tmp/artifacts.json" && \
+	echo "artifacts: docs/artifacts.txt and docs/artifacts.json byte-identical"
+
+# Bounded fuzzing of the untrusted request edge: the POST /run decode path
+# plus spec validation, seeded from the committed corpus under
+# cmd/sunserver/testdata/fuzz/.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime=10s ./cmd/sunserver/
 
 # The chaos gate: run the short fault-matrix determinism test (byte-equal
 # artifact across worker counts, >= 95% of runs recovered at the default

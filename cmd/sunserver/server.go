@@ -118,11 +118,6 @@ type server struct {
 	admTotal  *obs.CounterVec
 	admLive   *obs.GaugeVec
 	info      *obs.GaugeVec
-	// Time-Warp telemetry of the most recent completed optimistic job
-	// (gauges) and a counter of degraded runs — OptStats made scrapeable.
-	optRollback *obs.GaugeVec
-	optDepth    *obs.GaugeVec
-	optDegraded *obs.CounterVec
 
 	mu             sync.Mutex
 	jobs           map[string]*apiJob
@@ -183,12 +178,6 @@ func newServer(ctx context.Context, pool *experiments.Pool, sweep *experiments.S
 		info: reg.GaugeVec("sunserver_info",
 			"Service-level gauges: workers, uptime, accepted API jobs, cache hit ratio.",
 			"name"),
-		optRollback: reg.GaugeVec("sunserver_opt_rollback_frac",
-			"Rollback fraction (rolled-back / executed events) of the most recent completed optimistic job."),
-		optDepth: reg.GaugeVec("sunserver_opt_depth",
-			"Final AIMD speculation depth of the most recent completed optimistic job."),
-		optDegraded: reg.CounterVec("sunserver_opt_degraded_total",
-			"Completed optimistic jobs that fell back to the conservative coordinator."),
 		jobs:      map[string]*apiJob{},
 		scenarios: map[string]*apiScenario{},
 	}
@@ -386,15 +375,24 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
+// decodeRunRequest parses a POST /run body strictly: an unknown field is
+// an error naming it, so a client never silently loses a knob it asked
+// for — including one an earlier release accepted, such as "optimistic".
+func decodeRunRequest(body io.Reader) (runRequest, error) {
+	var req runRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // handleRun accepts a spec, validates it, passes admission control, and
 // returns a job id immediately; the simulation executes on the shared
 // pool. Overload answers 429 with a Retry-After computed from the
 // observed exec-time EWMA and the queue depth.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRunRequest(r.Body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -547,17 +545,6 @@ func (s *server) collect(id string, jobs []*runner.Job) {
 
 	if err := s.store.Finish(id, state, now, errMsg); err != nil {
 		s.log.Error("jobstore finish", "job", id, "err", err)
-	}
-	// Surface the winning repeat's Time-Warp stats on /metrics. Opt rides
-	// outside the Result's identity JSON, so only freshly executed runs
-	// carry it — a disk-cache hit leaves the gauges at their last value.
-	if final != nil && final.Sim != nil && final.Sim.Opt != nil {
-		o := final.Sim.Opt
-		s.optRollback.Set(o.RollbackFrac())
-		s.optDepth.Set(float64(o.FinalDepth))
-		if o.Degraded {
-			s.optDegraded.Inc()
-		}
 	}
 	if release {
 		// Feed the admission EWMA the job's execution cost: the recorded

@@ -31,15 +31,15 @@ func TestNilProbesZeroAlloc(t *testing.T) {
 	}
 }
 
-// The introspection hooks added for speculation telemetry and live
+// The introspection hooks added for window telemetry and live
 // progress follow the same contract: a nil recorder's Observe and a
 // publish with no subscriber — what every non-instrumented, non-followed
 // run pays per window and per rank-step — allocate nothing.
-func TestNilSpecAndProgressZeroAlloc(t *testing.T) {
-	var rec *SpecRecorder
+func TestNilWindowAndProgressZeroAlloc(t *testing.T) {
+	var rec *WindowRecorder
 	var nilBus *ProgressBus
 	bus := NewProgressBus()
-	ws := sim.WindowStats{Window: 3, Executed: 100, MaxDepth: 4}
+	ws := sim.WindowStats{Window: 3, Executed: 100}
 	ev := ProgressEvent{Rank: 1, Step: 2, Done: 3, Total: 10}
 	allocs := testing.AllocsPerRun(200, func() {
 		rec.Observe(ws)
@@ -47,6 +47,6 @@ func TestNilSpecAndProgressZeroAlloc(t *testing.T) {
 		bus.Publish("topic", ev)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled spec/progress hooks allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("disabled window/progress hooks allocated %.1f times per run, want 0", allocs)
 	}
 }

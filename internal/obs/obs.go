@@ -56,8 +56,9 @@ type Options struct {
 	// Trace additionally exports the canonically sorted event timeline
 	// into the run's Result, enabling Perfetto/Chrome trace download.
 	Trace bool `json:"trace,omitempty"`
-	// HooksOnly attaches every sampler probe and speculation hook but
-	// skips assembling Result.Obs when the run completes. It exists for
+	// HooksOnly attaches every sampler probe and, on sharded runs, the
+	// window recorder, but skips assembling Result.Obs when the run
+	// completes (Result.Windows is still filled). It exists for
 	// benchmark harnesses that time the always-on hook cost in isolation
 	// from report assembly (benchgate's obs.overhead_frac gate); normal
 	// runs leave it false.

@@ -96,10 +96,6 @@ type ShardSet struct {
 	lat     [][]Time
 	minLat  Time
 	stopReq atomic.Bool
-	// opt is non-nil when this set is the conservative substrate of an
-	// OptimisticShardSet; Spawn consults it to reject processes while the
-	// coordinator is speculating (process stacks cannot roll back).
-	opt *OptimisticShardSet
 
 	// inbox[d] is shard d's reusable merge buffer at the barrier.
 	inbox [][]mailItem
@@ -227,13 +223,8 @@ func (ss *ShardSet) PostCall(src, dst *Engine, at Time, c Caller) {
 // past that reply, breaking causality at the next injection. Latency
 // matrices are assumed to satisfy the triangle inequality, as the physical
 // interconnect model's do, so capping the poster alone also protects third
-// shards. A speculating optimistic coordinator skips the cap: late replies
-// there are stragglers, repaired by rollback — that freedom to overrun is
-// exactly what it speculates on.
+// shards.
 func (ss *ShardSet) capOutbound(src *Engine, dstID int, at Time) {
-	if ss.opt != nil && ss.opt.speculating {
-		return
-	}
 	if w := at + ss.lat[dstID][src.shardID]; w < src.outMailAt {
 		src.outMailAt = w
 	}

@@ -3,40 +3,24 @@ package sim
 // WindowStats describes one coordinator barrier: the window the shards
 // are about to run, plus the cumulative engine counters at that instant.
 // Counters are cumulative rather than per-window deltas on purpose — a
-// bounded recorder that decimates its rows (obs.SpecRecorder) keeps the
+// bounded recorder that decimates its rows (obs.WindowRecorder) keeps the
 // stream self-consistent, and consumers diff adjacent kept rows.
 //
-// For a fixed configuration (shard count, speculation depth) the stream
-// is a deterministic function of the model, like every other virtual-time
-// output. Across configurations it legitimately differs — windows are an
-// engine artifact, not a model observable — which is why it is carried
-// outside the bit-identity surfaces (core.Result JSON).
+// For a fixed shard count the stream is a deterministic function of the
+// model, like every other virtual-time output. Across shard counts it
+// legitimately differs — windows are an engine artifact, not a model
+// observable — which is why it is carried outside the bit-identity
+// surfaces (core.Result JSON).
 type WindowStats struct {
-	Window      int64 // 1-based barrier ordinal
-	GVT         Time  // global virtual time: minimum next-event time across shards
-	MaxNow      Time  // latest shard clock at the barrier
-	WindowStart Time  // earliest event the window will run (== GVT)
-	WindowEnd   Time  // latest finite window end granted; 0 if none is finite
-	Runnable    int   // shards with work inside their window
+	Window    int64 // 1-based barrier ordinal
+	GVT       Time  // minimum next-event time across shards; the window starts here
+	MaxNow    Time  // latest shard clock at the barrier
+	WindowEnd Time  // latest finite window end granted; 0 if none is finite
+	Runnable  int   // shards with work inside their window
 
-	// Cumulative engine counters. Executed includes rolled-back work
-	// (re-execution counts again); RolledBack and the counters below it
-	// stay zero under the conservative coordinator.
-	Executed         uint64
-	RolledBack       uint64
-	Rollbacks        int64
-	CascadeRollbacks int64
-	AntiMessages     int64
-	DupSends         int64
-	Snapshots        int64
-	SnapshotBytes    int64
-	MailInjected     int64
-
-	// AIMD speculation depth range across shards at this barrier, and
-	// whether any shard's window extends past its conservative end.
-	MinDepth    int
-	MaxDepth    int
-	Speculative bool
+	// Cumulative engine counters.
+	Executed     uint64
+	MailInjected int64
 }
 
 // WindowObserver receives one WindowStats per coordinator barrier. It is
@@ -46,15 +30,11 @@ type WindowStats struct {
 type WindowObserver func(WindowStats)
 
 // SetWindowObserver installs fn as the barrier observer. A nil observer
-// (the default) costs one predictable branch per barrier. The optimistic
-// coordinator shares the field: degraded Time-Warp runs stream the
-// conservative barrier telemetry through the same observer.
+// (the default) costs one predictable branch per barrier.
 func (ss *ShardSet) SetWindowObserver(fn WindowObserver) { ss.winObs = fn }
 
-// observeWindow reports one conservative barrier. GVT for the
-// conservative engine is simply the earliest next event: nothing ever
-// runs ahead of it, so lag and speculation counters are structurally
-// zero.
+// observeWindow reports one barrier. GVT is simply the earliest next
+// event: nothing ever runs ahead of it.
 func (ss *ShardSet) observeWindow(runnable int) {
 	ws := WindowStats{
 		Window:       ss.windows,
@@ -73,54 +53,7 @@ func (ss *ShardSet) observeWindow(runnable int) {
 		}
 	}
 	ws.GVT = gvt
-	ws.WindowStart = gvt
 	ws.WindowEnd = end
 	ws.MaxNow = ss.Now()
 	ss.winObs(ws)
-}
-
-// observeOptWindow reports one Time-Warp barrier: fossilCollect has just
-// refreshed GVT and the window ends (including speculative extensions)
-// are computed, so the row captures the coordinator's exact dispatch
-// decision.
-func (o *OptimisticShardSet) observeOptWindow(runnable int) {
-	ws := WindowStats{
-		Window:           o.stats.Windows,
-		Runnable:         runnable,
-		GVT:              o.stats.GVT,
-		WindowStart:      o.stats.GVT,
-		RolledBack:       o.stats.EventsRolledBack,
-		Rollbacks:        o.stats.Rollbacks,
-		CascadeRollbacks: o.stats.CascadeRollbacks,
-		AntiMessages:     o.stats.AntiMessages,
-		DupSends:         o.stats.DupSends,
-		Snapshots:        o.stats.Snapshots,
-		SnapshotBytes:    o.stats.SnapshotBytes,
-		MailInjected:     o.stats.MailInjected,
-	}
-	end := Time(0)
-	minD := -1
-	for i, e := range o.engines {
-		ws.Executed += e.executed
-		if o.ends[i] < Infinity && o.ends[i] > end {
-			end = o.ends[i]
-		}
-		sh := &o.shards[i]
-		if o.next[i] < o.ends[i] && sh.consEnd < o.ends[i] {
-			ws.Speculative = true
-		}
-		if minD < 0 || sh.depth < minD {
-			minD = sh.depth
-		}
-		if sh.depth > ws.MaxDepth {
-			ws.MaxDepth = sh.depth
-		}
-	}
-	ws.Executed += o.stats.EventsRolledBack
-	ws.WindowEnd = end
-	ws.MaxNow = o.Now()
-	if minD > 0 {
-		ws.MinDepth = minD
-	}
-	o.winObs(ws)
 }

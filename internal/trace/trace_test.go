@@ -109,7 +109,11 @@ func TestEventDuration(t *testing.T) {
 // The regression this locks down: Events and the aggregate readers used
 // to hand out / iterate the live slice while sharded engines Add from
 // other host threads. Run under -race (the Makefile race target does).
+// Each writer stops after a fixed number of events: unbounded writers
+// grow the recorder faster than the reader's full copies can keep up,
+// which on a slow host runs the process out of memory.
 func TestRecorderConcurrentAddAndRead(t *testing.T) {
+	const perWriter = 1000
 	r := New()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -117,7 +121,7 @@ func TestRecorderConcurrentAddAndRead(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := 0; i < perWriter; i++ {
 				select {
 				case <-stop:
 					return
